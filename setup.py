@@ -1,11 +1,9 @@
 """Legacy setup shim.
 
-The offline environment carries setuptools 65 without the ``wheel``
-package, so PEP 660 editable installs (``pip install -e .``) cannot build a
-wheel.  This shim lets both ``pip install -e . --no-build-isolation`` (which
-falls back to this file via ``setup.py develop``) and a plain
-``python setup.py develop`` work without network access.  All real
-metadata lives in ``pyproject.toml``.
+``pip install -e ".[test]"`` builds an editable wheel, which needs the
+``wheel`` package.  Where only setuptools is available and there is no
+network, ``python setup.py develop`` installs the same editable package
+through this file.  All real metadata lives in ``pyproject.toml``.
 """
 
 from setuptools import setup

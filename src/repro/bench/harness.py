@@ -26,6 +26,7 @@ from repro.core.prq import prq
 from repro.engine import QueryEngine, UpdatePipeline
 from repro.core.sequencing import EncodingReport, assign_sequence_values
 from repro.obs import MetricsRegistry, attach_recorder
+from repro.obs.metrics import derived, snapshot_of
 from repro.service import (
     BatchPolicy,
     OpenLoopGenerator,
@@ -387,26 +388,26 @@ class OverlapCosts:
     def sharded_elapsed_us(self) -> float:
         return self.sharded_update_us + self.sharded_query_us
 
-    @property
+    @derived
     def speedup(self) -> float:
         """Virtual wall-clock gain of the overlapped deployment."""
         if self.sharded_elapsed_us <= 0:
             return float("inf") if self.baseline_elapsed_us > 0 else 1.0
         return self.baseline_elapsed_us / self.sharded_elapsed_us
 
-    @property
+    @derived
     def update_speedup(self) -> float:
         if self.sharded_update_us <= 0:
             return float("inf") if self.baseline_update_us > 0 else 1.0
         return self.baseline_update_us / self.sharded_update_us
 
-    @property
+    @derived
     def query_speedup(self) -> float:
         if self.sharded_query_us <= 0:
             return float("inf") if self.baseline_query_us > 0 else 1.0
         return self.baseline_query_us / self.sharded_query_us
 
-    @property
+    @derived
     def overlap_factor(self) -> float:
         """Device busy time over elapsed time on the sharded run.
 
@@ -419,13 +420,13 @@ class OverlapCosts:
             return 1.0
         return self.sharded_busy_us / self.sharded_elapsed_us
 
-    @property
+    @derived
     def baseline_sequential_ratio(self) -> float:
         """Fraction of baseline accesses that skipped the seek."""
         total = self.baseline_seeks + self.baseline_sequential_hits
         return self.baseline_sequential_hits / total if total else 0.0
 
-    @property
+    @derived
     def sharded_sequential_ratio(self) -> float:
         """Fraction of sharded accesses that skipped the seek."""
         total = self.sharded_seeks + self.sharded_sequential_hits
@@ -433,34 +434,7 @@ class OverlapCosts:
 
     def snapshot(self) -> dict:
         """JSON-ready form for benchmark reports."""
-        return {
-            "profile": self.profile,
-            "n_shards": self.n_shards,
-            "workload": self.workload,
-            "parallel_io": self.parallel_io,
-            "ops_applied": self.ops_applied,
-            "n_queries": self.n_queries,
-            "baseline_update_us": self.baseline_update_us,
-            "baseline_query_us": self.baseline_query_us,
-            "sharded_update_us": self.sharded_update_us,
-            "sharded_query_us": self.sharded_query_us,
-            "baseline_reads": self.baseline_reads,
-            "baseline_writes": self.baseline_writes,
-            "sharded_reads": self.sharded_reads,
-            "sharded_writes": self.sharded_writes,
-            "baseline_busy_us": self.baseline_busy_us,
-            "sharded_busy_us": self.sharded_busy_us,
-            "speedup": self.speedup,
-            "update_speedup": self.update_speedup,
-            "query_speedup": self.query_speedup,
-            "overlap_factor": self.overlap_factor,
-            "baseline_seeks": self.baseline_seeks,
-            "baseline_sequential_hits": self.baseline_sequential_hits,
-            "baseline_sequential_ratio": self.baseline_sequential_ratio,
-            "sharded_seeks": self.sharded_seeks,
-            "sharded_sequential_hits": self.sharded_sequential_hits,
-            "sharded_sequential_ratio": self.sharded_sequential_ratio,
-        }
+        return snapshot_of(self)
 
 
 @dataclass
@@ -513,19 +487,7 @@ class ServiceCosts:
 
     def snapshot(self) -> dict:
         """JSON-ready form for benchmark reports."""
-        return {
-            "rate_per_sec": self.rate_per_sec,
-            "arrival": self.arrival,
-            "n_shards": self.n_shards,
-            "profile": self.profile,
-            "max_batch": self.max_batch,
-            "max_wait_us": self.max_wait_us,
-            "n_requests": self.n_requests,
-            "pinned": self.pinned,
-            "prefetch": self.prefetch,
-            "policy_state": self.policy_state,
-            "stats": self.stats.snapshot(),
-        }
+        return snapshot_of(self)
 
 
 class ExperimentHarness:

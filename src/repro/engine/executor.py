@@ -33,6 +33,7 @@ from repro.engine.policy import PrefetchPolicy
 from repro.engine.scanner import BandScanner
 from repro.engine.verify import CandidateVerifier
 from repro.motion.rows import BandRows
+from repro.obs.metrics import Counters, derived, gauge
 from repro.spatial.geometry import Rect
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
 
@@ -48,7 +49,7 @@ OnMatch = Callable[["MovingObject", float, float], bool]
 
 
 @dataclass
-class ExecutionStats:
+class ExecutionStats(Counters, prefix="engine."):
     """Scan-level accounting of one execution (query or whole batch).
 
     Attributes:
@@ -99,14 +100,14 @@ class ExecutionStats:
     physical_reads: int = 0
     shard_stats: "ShardStats | None" = None
     fault_stats: "FaultStats | None" = None
-    virtual_time_us: float = 0.0
+    virtual_time_us: float = gauge(0.0)
     entries_prefetched: int = 0
     dead_entries: int = 0
     memo_evictions: int = 0
     seeks: int = 0
     sequential_hits: int = 0
 
-    @property
+    @derived
     def dedup_ratio(self) -> float:
         """Fraction of band requests that did not cost a physical scan.
 
@@ -120,41 +121,12 @@ class ExecutionStats:
             return 0.0
         return max(0.0, 1.0 - self.bands_scanned / self.bands_requested)
 
-    @property
+    @derived
     def overscan_ratio(self) -> float:
         """Fraction of prefetched entries that no request consumed."""
         if self.entries_prefetched == 0:
             return 0.0
         return self.dead_entries / self.entries_prefetched
-
-    def publish(self, registry, **labels) -> None:
-        """Publish this execution into a ``MetricsRegistry``.
-
-        Names follow the ``engine.<field>`` convention documented in
-        ``docs/OBSERVABILITY.md``; nested shard/fault stats publish
-        under their own prefixes with the same labels.
-        """
-        registry.counter("engine.bands_requested", self.bands_requested, **labels)
-        registry.counter("engine.bands_scanned", self.bands_scanned, **labels)
-        registry.counter("engine.bands_deduped", self.bands_deduped, **labels)
-        registry.counter(
-            "engine.candidates_examined", self.candidates_examined, **labels
-        )
-        registry.counter("engine.physical_reads", self.physical_reads, **labels)
-        registry.counter(
-            "engine.entries_prefetched", self.entries_prefetched, **labels
-        )
-        registry.counter("engine.dead_entries", self.dead_entries, **labels)
-        registry.counter("engine.memo_evictions", self.memo_evictions, **labels)
-        registry.counter("engine.seeks", self.seeks, **labels)
-        registry.counter("engine.sequential_hits", self.sequential_hits, **labels)
-        registry.gauge("engine.virtual_time_us", self.virtual_time_us, **labels)
-        registry.gauge("engine.dedup_ratio", self.dedup_ratio, **labels)
-        registry.gauge("engine.overscan_ratio", self.overscan_ratio, **labels)
-        if self.shard_stats is not None:
-            self.shard_stats.publish(registry, **labels)
-        if self.fault_stats is not None:
-            self.fault_stats.publish(registry, **labels)
 
 
 @dataclass

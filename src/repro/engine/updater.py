@@ -32,8 +32,10 @@ schedule changes.  Queries and updates remain phase-separated: flush
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Protocol
+
+from repro.obs.metrics import Counters, derived, gauge
 
 if TYPE_CHECKING:
     from repro.core.peb_tree import PEBTree
@@ -49,7 +51,7 @@ class UpdateMonitor(Protocol):
 
 
 @dataclass
-class UpdateStats:
+class UpdateStats(Counters, prefix="update."):
     """Write-path accounting across one pipeline's lifetime.
 
     Attributes:
@@ -94,47 +96,26 @@ class UpdateStats:
     physical_writes: int = 0
     shard_stats: "ShardStats | None" = None
     fault_stats: "FaultStats | None" = None
-    virtual_time_us: float = 0.0
+    virtual_time_us: float = gauge(0.0)
 
     @property
     def total_io(self) -> int:
         """Physical reads plus writes across all flushes."""
         return self.physical_reads + self.physical_writes
 
-    @property
+    @derived
     def io_per_update(self) -> float:
         """Amortized physical I/O per applied update (0.0 when idle)."""
         if self.ops == 0:
             return 0.0
         return self.total_io / self.ops
 
-    @property
+    @derived
     def in_place_ratio(self) -> float:
         """Fraction of ops that never left their leaf (0.0 when idle)."""
         if self.ops == 0:
             return 0.0
         return self.in_place_hits / self.ops
-
-    def publish(self, registry, **labels) -> None:
-        """Publish the write path into a ``MetricsRegistry`` as
-        ``update.<field>`` (see ``docs/OBSERVABILITY.md``)."""
-        registry.counter("update.ops", self.ops, **labels)
-        registry.counter("update.in_place_hits", self.in_place_hits, **labels)
-        registry.counter("update.moved", self.moved, **labels)
-        registry.counter("update.inserted", self.inserted, **labels)
-        registry.counter("update.flushes", self.flushes, **labels)
-        registry.counter("update.leaves_visited", self.leaves_visited, **labels)
-        registry.counter("update.descents_saved", self.descents_saved, **labels)
-        registry.counter("update.deferred", self.deferred, **labels)
-        registry.counter("update.physical_reads", self.physical_reads, **labels)
-        registry.counter("update.physical_writes", self.physical_writes, **labels)
-        registry.gauge("update.virtual_time_us", self.virtual_time_us, **labels)
-        registry.gauge("update.io_per_update", self.io_per_update, **labels)
-        registry.gauge("update.in_place_ratio", self.in_place_ratio, **labels)
-        if self.shard_stats is not None:
-            self.shard_stats.publish(registry, **labels)
-        if self.fault_stats is not None:
-            self.fault_stats.publish(registry, **labels)
 
 
 class UpdateBuffer:

@@ -5,8 +5,9 @@ The obs layer is strictly *read-only* over the rest of the stack: a
 values the instrumented code already read from the shared
 :class:`repro.simio.clock.SimClock` (tracing never advances a cursor,
 charges a device, or consumes randomness), a
-:class:`MetricsRegistry` gives the six per-layer stats dataclasses one
-labelled counter/gauge/histogram namespace to publish into, and
+:class:`MetricsRegistry` gives the per-layer stats dataclasses (each a
+:class:`repro.obs.metrics.Counters`) one labelled
+counter/gauge/histogram namespace to publish into, and
 :func:`timer` marks wall-clock measurements so they can never be
 confused with virtual-time ones.  The property pin in
 ``tests/test_obs_trace.py`` holds tracing to the same standard every

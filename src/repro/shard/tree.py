@@ -50,7 +50,7 @@ from repro.simio.scheduler import IOScheduler
 from repro.simio.stats import LatencyView
 from repro.storage.buffer import DEFAULT_BUFFER_PAGES, BufferPool
 from repro.storage.disk import SimulatedDisk
-from repro.storage.stats import StatsView, merge_stats
+from repro.storage.stats import StatsView
 
 if TYPE_CHECKING:
     from repro.motion.partitions import TimePartitioner
@@ -118,7 +118,7 @@ class ShardedPEBTree:
         self.io = IOScheduler(
             self.sim_clock, use_threads=parallel_io, max_workers=max_workers
         )
-        self._stats = merge_stats(
+        self._stats = StatsView(
             (tree.btree.pool.stats for tree in self.trees),
             latency=LatencyView([disk.latency for disk in timed]) if timed else None,
         )

@@ -32,7 +32,7 @@ from repro.storage.faults import (
 from repro.storage.page import PageSerializer
 from repro.storage.persistence import SnapshotError, load_disk, save_disk, save_pool
 from repro.storage.replacement import POLICIES, make_policy
-from repro.storage.stats import IOStats, StatsView, merge_stats
+from repro.storage.stats import IOStats, StatsView
 
 __all__ = [
     "PAGE_SIZE",
@@ -49,7 +49,6 @@ __all__ = [
     "StatsView",
     "load_disk",
     "make_policy",
-    "merge_stats",
     "save_disk",
     "save_pool",
 ]

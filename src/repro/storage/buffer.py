@@ -16,12 +16,11 @@ the paper; FIFO/CLOCK/LFU available for the buffer-policy ablation).
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import PageSerializer
 from repro.storage.replacement import ReplacementPolicy, make_policy
-from repro.storage.stats import StatsView, merge_stats
 
 #: Paper default (Table 1): a 50-page LRU buffer.
 DEFAULT_BUFFER_PAGES = 50
@@ -60,18 +59,6 @@ class BufferPool:
     def stats(self):
         """The disk's shared I/O counter bundle."""
         return self.disk.stats
-
-    @staticmethod
-    def merged_stats(pools: "Iterable[BufferPool]") -> StatsView:
-        """One live counter view over several pools' I/O statistics.
-
-        Multi-pool deployments (one pool per shard of a sharded index)
-        report through this instead of hand-summing per-pool counters:
-        the returned :class:`repro.storage.stats.StatsView` recomputes
-        on every access, so before/after deltas work exactly as on a
-        single pool's stats.
-        """
-        return merge_stats(pool.stats for pool in pools)
 
     # ------------------------------------------------------------------
     # Core page API

@@ -10,12 +10,14 @@ would a single pool's, instead of hand-summing per-shard counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
+
+from repro.obs.metrics import Counters, CountersView, derived
 
 
 @dataclass
-class IOStats:
+class IOStats(Counters, prefix="io."):
     """Mutable bundle of I/O counters.
 
     The paper's experiments report the *average I/O cost per query*, where
@@ -34,66 +36,21 @@ class IOStats:
     physical_writes: int = 0
     logical_reads: int = 0
     logical_writes: int = 0
-    _marks: dict[str, tuple[int, int, int, int]] = field(
-        default_factory=dict, repr=False
-    )
-
-    def reset(self) -> None:
-        """Zero every counter (marks survive so old deltas become invalid)."""
-        self.physical_reads = 0
-        self.physical_writes = 0
-        self.logical_reads = 0
-        self.logical_writes = 0
-        self._marks.clear()
 
     @property
     def total_io(self) -> int:
         """Physical reads plus physical writes."""
         return self.physical_reads + self.physical_writes
 
-    @property
+    @derived
     def hit_ratio(self) -> float:
         """Fraction of logical reads served by the buffer (1.0 if idle)."""
         if self.logical_reads == 0:
             return 1.0
         return 1.0 - self.physical_reads / self.logical_reads
 
-    def mark(self, label: str = "default") -> None:
-        """Remember the current counters under ``label`` for later deltas."""
-        self._marks[label] = (
-            self.physical_reads,
-            self.physical_writes,
-            self.logical_reads,
-            self.logical_writes,
-        )
 
-    def reads_since(self, label: str = "default") -> int:
-        """Physical reads accumulated since :meth:`mark` was called."""
-        return self.physical_reads - self._marks.get(label, (0, 0, 0, 0))[0]
-
-    def writes_since(self, label: str = "default") -> int:
-        """Physical writes accumulated since :meth:`mark` was called."""
-        return self.physical_writes - self._marks.get(label, (0, 0, 0, 0))[1]
-
-    def snapshot(self) -> dict[str, int]:
-        """Return an immutable view of the counters for reporting."""
-        return {
-            "physical_reads": self.physical_reads,
-            "physical_writes": self.physical_writes,
-            "logical_reads": self.logical_reads,
-            "logical_writes": self.logical_writes,
-        }
-
-    def publish(self, registry, **labels) -> None:
-        """Publish into a ``MetricsRegistry`` as ``io.<field>``."""
-        registry.counter("io.physical_reads", self.physical_reads, **labels)
-        registry.counter("io.physical_writes", self.physical_writes, **labels)
-        registry.counter("io.logical_reads", self.logical_reads, **labels)
-        registry.counter("io.logical_writes", self.logical_writes, **labels)
-        registry.gauge("io.hit_ratio", self.hit_ratio, **labels)
-
-
-class StatsView:
+class StatsView(CountersView):
     """A live aggregate over several :class:`IOStats` bundles.
 
     Every counter access recomputes the sum from the underlying
@@ -102,79 +59,29 @@ class StatsView:
     I/O — callers can take before/after deltas on the view exactly as
     they do on a single pool's :class:`IOStats`.
 
-    The view mirrors the read-side surface of :class:`IOStats`
-    (counters, :attr:`total_io`, :attr:`hit_ratio`, :meth:`snapshot`)
-    plus :meth:`reset`, which fans out to every member.  Per-bundle
-    ``mark``/``*_since`` bookkeeping stays on the members — a deadline
-    mark on an aggregate of moving parts would silently mix scopes.
-
     Deployments on simulated-latency devices additionally carry a
     ``latency`` aggregate (a :class:`repro.simio.stats.LatencyView`
     over the devices' virtual-time bundles, duck-typed here so the
     storage layer needs no simio import); it rides along so harness
-    code finds counters and times on one object, and :meth:`reset`
-    fans out to it too.
+    code finds counters and times on one object, and :meth:`reset`,
+    :meth:`snapshot` and :meth:`publish` cover it too.
     """
 
-    def __init__(
-        self,
-        parts: Sequence[IOStats] | Iterable[IOStats],
-        latency=None,
-    ):
-        self._parts = tuple(parts)
-        if not self._parts:
-            raise ValueError("StatsView needs at least one IOStats bundle")
+    member = IOStats
+
+    def __init__(self, parts: Iterable[IOStats], latency=None):
+        super().__init__(parts)
         self.latency = latency
-
-    @property
-    def parts(self) -> tuple[IOStats, ...]:
-        """The member bundles, in aggregation order."""
-        return self._parts
-
-    @property
-    def physical_reads(self) -> int:
-        return sum(part.physical_reads for part in self._parts)
-
-    @property
-    def physical_writes(self) -> int:
-        return sum(part.physical_writes for part in self._parts)
-
-    @property
-    def logical_reads(self) -> int:
-        return sum(part.logical_reads for part in self._parts)
-
-    @property
-    def logical_writes(self) -> int:
-        return sum(part.logical_writes for part in self._parts)
-
-    @property
-    def total_io(self) -> int:
-        """Physical reads plus physical writes across every member."""
-        return self.physical_reads + self.physical_writes
-
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of logical reads served by the buffers (1.0 if idle)."""
-        logical = self.logical_reads
-        if logical == 0:
-            return 1.0
-        return 1.0 - self.physical_reads / logical
 
     def reset(self) -> None:
         """Zero every member bundle's counters (latency bundles too)."""
-        for part in self._parts:
-            part.reset()
+        super().reset()
         if self.latency is not None:
             self.latency.reset()
 
     def snapshot(self) -> dict:
-        """Return an immutable merged view of the counters for reporting."""
-        merged: dict = {
-            "physical_reads": self.physical_reads,
-            "physical_writes": self.physical_writes,
-            "logical_reads": self.logical_reads,
-            "logical_writes": self.logical_writes,
-        }
+        """The merged counters, plus the latency aggregate's snapshot."""
+        merged = super().snapshot()
         if self.latency is not None:
             merged["latency"] = self.latency.snapshot()
         return merged
@@ -182,15 +89,6 @@ class StatsView:
     def publish(self, registry, **labels) -> None:
         """Publish the merged counters (same ``io.<field>`` names a
         single bundle uses; the latency aggregate rides along)."""
-        registry.counter("io.physical_reads", self.physical_reads, **labels)
-        registry.counter("io.physical_writes", self.physical_writes, **labels)
-        registry.counter("io.logical_reads", self.logical_reads, **labels)
-        registry.counter("io.logical_writes", self.logical_writes, **labels)
-        registry.gauge("io.hit_ratio", self.hit_ratio, **labels)
-        if self.latency is not None and hasattr(self.latency, "publish"):
+        super().publish(registry, **labels)
+        if self.latency is not None:
             self.latency.publish(registry, **labels)
-
-
-def merge_stats(parts: Iterable[IOStats], latency=None) -> StatsView:
-    """One coherent live view over several counter bundles."""
-    return StatsView(tuple(parts), latency=latency)

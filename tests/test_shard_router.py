@@ -7,7 +7,7 @@ from repro.engine.plan import BandRequest
 from repro.motion.objects import MovingObject
 from repro.shard import ShardRouter, ShardStats, ShardedPEBTree, ShardedQueryEngine
 from repro.shard.engine import ShardScatterScanner
-from repro.storage import BufferPool, IOStats, SimulatedDisk, StatsView, merge_stats
+from repro.storage import BufferPool, IOStats, SimulatedDisk, StatsView
 
 from tests.conftest import build_world
 
@@ -181,7 +181,7 @@ def test_stats_view_hit_ratio_and_validation():
     with pytest.raises(ValueError):
         StatsView([])
     part = IOStats()
-    view = merge_stats([part])
+    view = StatsView([part])
     assert view.hit_ratio == 1.0
     part.logical_reads = 10
     part.physical_reads = 2
@@ -192,7 +192,7 @@ def test_buffer_pool_merged_stats():
     pools = [
         BufferPool(SimulatedDisk(page_size=256), capacity=2) for _ in range(3)
     ]
-    view = BufferPool.merged_stats(pools)
+    view = StatsView(pool.stats for pool in pools)
     pools[1].disk.stats.physical_writes += 4
     assert view.physical_writes == 4
     assert set(view.snapshot()) == {
@@ -200,6 +200,7 @@ def test_buffer_pool_merged_stats():
         "physical_writes",
         "logical_reads",
         "logical_writes",
+        "hit_ratio",
     }
 
 

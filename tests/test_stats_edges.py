@@ -1,15 +1,15 @@
 """Edge cases of the stats primitives the reports are built on.
 
 ``percentile`` / ``SojournSummary.of`` feed every latency table, and
-``IOStats`` marks feed every before/after I/O delta — both have
-boundary behaviors (empty samples, fractions at 0/1, unknown labels)
-that the happy-path integration tests never touch.
+``IOStats`` / ``StatsView`` feed every before/after I/O delta — both
+have boundary behaviors (empty samples, fractions at 0/1, idle
+counters) that the happy-path integration tests never touch.
 """
 
 import pytest
 
 from repro.service.stats import SojournSummary, percentile
-from repro.storage.stats import IOStats, StatsView, merge_stats
+from repro.storage.stats import IOStats, StatsView
 
 
 # ----------------------------------------------------------------------
@@ -88,49 +88,8 @@ def test_sojourn_summary_percentiles_are_ordered():
 
 
 # ----------------------------------------------------------------------
-# IOStats marks
+# IOStats
 # ----------------------------------------------------------------------
-
-
-def test_iostats_default_and_named_marks_are_independent():
-    stats = IOStats()
-    stats.physical_reads = 10
-    stats.mark()  # default label
-    stats.physical_reads = 16
-    stats.physical_writes = 3
-    stats.mark("phase2")
-    stats.physical_reads = 21
-    stats.physical_writes = 8
-    assert stats.reads_since() == 11
-    assert stats.reads_since("phase2") == 5
-    assert stats.writes_since() == 8
-    assert stats.writes_since("phase2") == 5
-
-
-def test_iostats_unknown_label_counts_from_zero():
-    stats = IOStats(physical_reads=4, physical_writes=2)
-    assert stats.reads_since("never-marked") == 4
-    assert stats.writes_since("never-marked") == 2
-
-
-def test_iostats_remarking_overwrites():
-    stats = IOStats()
-    stats.physical_reads = 5
-    stats.mark("x")
-    stats.physical_reads = 9
-    stats.mark("x")
-    assert stats.reads_since("x") == 0
-
-
-def test_iostats_reset_clears_counters_and_marks():
-    stats = IOStats(physical_reads=7, logical_reads=9)
-    stats.mark("before")
-    stats.reset()
-    assert stats.physical_reads == 0
-    assert stats.logical_reads == 0
-    # The mark is gone: deltas restart from zero, not negative.
-    stats.physical_reads = 2
-    assert stats.reads_since("before") == 2
 
 
 def test_iostats_hit_ratio_idle_and_busy():
@@ -141,20 +100,21 @@ def test_iostats_hit_ratio_idle_and_busy():
 
 
 # ----------------------------------------------------------------------
-# merge_stats / StatsView
+# StatsView
 # ----------------------------------------------------------------------
 
 
 def test_merge_stats_view_is_live_and_snapshot_round_trips():
     first = IOStats(physical_reads=1, physical_writes=2, logical_reads=3)
     second = IOStats(physical_reads=10, logical_writes=4)
-    view = merge_stats([first, second])
+    view = StatsView([first, second])
     assert view.physical_reads == 11
     assert view.snapshot() == {
         "physical_reads": 11,
         "physical_writes": 2,
         "logical_reads": 3,
         "logical_writes": 4,
+        "hit_ratio": 1.0 - 11 / 3,
     }
     # Live: later mutation of a member shows through the view.
     first.physical_reads += 5
@@ -184,7 +144,7 @@ def test_stats_view_latency_rides_along():
     device = LatencyStats()
     device.record("read", 120.0, sequential=False)
     device.record("write", 80.0, sequential=True)
-    view = merge_stats([IOStats(physical_reads=2)], latency=LatencyView([device]))
+    view = StatsView([IOStats(physical_reads=2)], latency=LatencyView([device]))
     snapshot = view.snapshot()
     assert snapshot["latency"]["busy_us"] == 200.0
     assert snapshot["latency"]["sequential_ratio"] == 0.5

@@ -28,32 +28,14 @@ def test_hit_ratio_counts_misses():
 
 def test_reset_zeroes_everything():
     stats = IOStats(physical_reads=1, physical_writes=2, logical_reads=3)
-    stats.mark("x")
     stats.reset()
     assert stats.snapshot() == {
         "physical_reads": 0,
         "physical_writes": 0,
         "logical_reads": 0,
         "logical_writes": 0,
+        "hit_ratio": 1.0,
     }
-    # Marks are cleared too; deltas restart from zero.
-    assert stats.reads_since("x") == 0
-
-
-def test_mark_and_deltas():
-    stats = IOStats()
-    stats.physical_reads = 5
-    stats.physical_writes = 1
-    stats.mark("batch")
-    stats.physical_reads += 7
-    stats.physical_writes += 2
-    assert stats.reads_since("batch") == 7
-    assert stats.writes_since("batch") == 2
-
-
-def test_unknown_mark_measures_from_zero():
-    stats = IOStats(physical_reads=4)
-    assert stats.reads_since("never-marked") == 4
 
 
 def test_snapshot_is_plain_dict():
